@@ -386,16 +386,9 @@ func TestWriteBenchReport(t *testing.T) {
 	report.Entries = append(report.Entries, e)
 
 	// Fast-path admission under chaos — the headline number of this PR. The
-	// same seeded stream at a pipeline depth of 128 with 64-query epochs:
-	// epochs must close on count, not on the timer, because 128 outstanding
-	// never fills the default 256-query epoch and the epoch-wait timer fires
-	// ~1ms late on a single-vCPU box — a timer-closed epoch measures kernel
-	// wakeup latency, not admission. With 64-query epochs the driver's
-	// in-flight window always holds two epochs' worth, so the collector never
-	// waits. The 100µs wait stays as the drain fallback for the final partial
-	// batch. Meanwhile a
-	// chaos goroutine crash/restore-cycles compute nodes through the server's
-	// epoch lock the whole drive. Every liveness flip bumps the engine's
+	// same seeded stream at a pipeline depth of 128 with 64-query epochs.
+	// Meanwhile a chaos goroutine crash/restore-cycles compute nodes through
+	// the server's epoch lock the whole drive. Every liveness flip bumps the engine's
 	// fence generation and forces the fast path to re-mirror the down set, so
 	// the recorded throughput and p95 include the invalidation cost the
 	// tables were designed to bound. The cadence is one cycle per ~30ms —
@@ -422,7 +415,6 @@ func TestWriteBenchReport(t *testing.T) {
 			s := server.New(p, eng, server.Config{
 				Clock:           func() float64 { return 0 },
 				EpochMaxQueries: 64,
-				EpochMaxWait:    100 * time.Microsecond,
 			})
 			stop := make(chan struct{})
 			done := make(chan struct{})
@@ -490,7 +482,6 @@ func TestWriteBenchReport(t *testing.T) {
 			s := server.New(p, eng, server.Config{
 				Clock:           func() float64 { return 0 },
 				EpochMaxQueries: 64,
-				EpochMaxWait:    100 * time.Microsecond,
 			})
 			b.StartTimer()
 			rep, err := server.Drive(s, server.DriveConfig{Count: driveCount, Seed: 7, Pipeline: 128})

@@ -4,8 +4,8 @@
 # byte-identity, stale-table fuzz, chaos-on latency smoke), attribution gates
 # (zero-alloc off path, byte-identical traces, flight-ring race stress),
 # durability (journal/recovery + kill-and-resume byte-identity), the edgerepd daemon drill
-# (selfdrive byte-identity + HTTP serve/kill -9/resume + live /slo and
-# /debug/flight probes + SIGTERM flight snapshot), federation gates (3-region
+# (selfdrive byte-identity + HTTP serve/kill -9/resume with fsync off and on
+# + live /slo and /debug/flight probes + SIGTERM flight snapshot), federation gates (3-region
 # kill-the-leader drill byte-identity + multi-process kill -9 follower
 # promotion), docs link check, example smoke, bench smoke.
 # Run before every commit. See ARCHITECTURE.md, "CI".
@@ -26,6 +26,18 @@ go vet ./...
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# await_serving OUT ERR WHAT: wait (up to 10s) for a daemon started with
+# stdout in OUT and stderr in ERR to print its bound address, then echo it.
+await_serving() {
+    i=0
+    until grep -q "serving on" "$1" 2>/dev/null; do
+        i=$((i+1))
+        if [ "$i" -gt 100 ]; then echo "$3" >&2; cat "$2" >&2; exit 1; fi
+        sleep 0.1
+    done
+    sed -n 's/^edgerepd: serving on //p' "$1"
+}
 
 echo "== edgerepvet ./... (type-aware repo analyzers; gate + JSON artifact, <30s budget)"
 go build -o "$tmp/edgerepvet" ./cmd/edgerepvet
@@ -84,7 +96,7 @@ go build -o "$tmp/edgerepsim" ./cmd/edgerepsim
 cmp "$tmp/full.csv" "$tmp/resumed.csv"
 cmp "$tmp/full.jsonl" "$tmp/resumed.jsonl"
 
-echo "== daemon gate (edgerepd: selfdrive SIGKILL-and-resume byte-identity; HTTP drive / kill -9 / -resume / drain)"
+echo "== daemon gate (edgerepd: selfdrive SIGKILL-and-resume byte-identity; HTTP drive / kill -9 / -resume / drain, fsync off and on)"
 go build -o "$tmp/edgerepd" ./cmd/edgerepd
 # Deterministic selfdrive: an uninterrupted run vs one SIGKILLed (torn WAL
 # tail) at decision 6000 and resumed. WAL-only journaling so the resumed
@@ -103,27 +115,15 @@ for f in "$tmp/dfull-wal"/*; do cmp "$f" "$tmp/dcrash-wal/$(basename "$f")"; don
 "$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" -nosync \
     > "$tmp/dserve1.out" 2> "$tmp/dserve1.err" &
 dpid=$!
-i=0
-until grep -q "serving on" "$tmp/dserve1.out" 2>/dev/null; do
-    i=$((i+1))
-    if [ "$i" -gt 100 ]; then echo "edgerepd did not bind" >&2; cat "$tmp/dserve1.err" >&2; exit 1; fi
-    sleep 0.1
-done
-daddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/dserve1.out")
+daddr=$(await_serving "$tmp/dserve1.out" "$tmp/dserve1.err" "edgerepd did not bind")
 "$tmp/edgerepd" -drive "$daddr" -count 2000 | grep -q "drive ok: /metrics serves"
 kill -9 "$dpid"
 wait "$dpid" 2>/dev/null || true
 "$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" -nosync -resume \
     > "$tmp/dserve2.out" 2> "$tmp/dserve2.err" &
 dpid=$!
-i=0
-until grep -q "serving on" "$tmp/dserve2.out" 2>/dev/null; do
-    i=$((i+1))
-    if [ "$i" -gt 100 ]; then echo "edgerepd did not resume" >&2; cat "$tmp/dserve2.err" >&2; exit 1; fi
-    sleep 0.1
-done
+daddr=$(await_serving "$tmp/dserve2.out" "$tmp/dserve2.err" "edgerepd did not resume")
 grep -q "recovered 2000 decisions" "$tmp/dserve2.err"
-daddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/dserve2.out")
 "$tmp/edgerepd" -drive "$daddr" -count 500 > "$tmp/ddrive2.out"
 grep -q "drive ok: /metrics serves" "$tmp/ddrive2.out"
 # The observability endpoints must serve live data under drive traffic.
@@ -136,6 +136,27 @@ grep -q "drained" "$tmp/dserve2.err"
 [ -s "$tmp/dhttp-wal/flight-snapshot.json" ] || {
     echo "SIGTERM drain left no flight-snapshot.json next to the journal" >&2; exit 1; }
 grep -q '"entries"' "$tmp/dhttp-wal/flight-snapshot.json"
+# fsync on, the daemon default (one group-commit fsync per epoch): drive
+# over HTTP, kill -9, -resume. Recovery refuses a divergent journal, so the
+# resumed daemon serving at all means the WAL replayed clean; the drive
+# fails on any non-200, so "recovered 2000" means exactly one record per
+# 200 response.
+"$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dsync-wal" \
+    > "$tmp/dsync1.out" 2> "$tmp/dsync1.err" &
+dpid=$!
+daddr=$(await_serving "$tmp/dsync1.out" "$tmp/dsync1.err" "fsync-on edgerepd did not bind")
+"$tmp/edgerepd" -drive "$daddr" -count 2000 | grep -q "drive ok: /metrics serves"
+kill -9 "$dpid"
+wait "$dpid" 2>/dev/null || true
+"$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dsync-wal" -resume \
+    > "$tmp/dsync2.out" 2> "$tmp/dsync2.err" &
+dpid=$!
+await_serving "$tmp/dsync2.out" "$tmp/dsync2.err" "fsync-on edgerepd did not resume" > /dev/null
+grep -q "recovered 2000 decisions" "$tmp/dsync2.err" || {
+    echo "fsync-on resume did not recover exactly the 2000 acked decisions" >&2
+    cat "$tmp/dsync2.err" >&2; exit 1; }
+kill -TERM "$dpid"
+wait "$dpid"
 
 echo "== federation gates (replication + failover race-clean; 3-region drill byte-identity; multi-process kill -9 promotion)"
 # The shipping/standby/promotion paths and the failover auditor under -race.
@@ -163,23 +184,12 @@ awk "BEGIN { exit !($gap > 0 && $gap < 2) }" || {
 "$tmp/edgerepd" -region r0 -journal "$tmp/fedlead-wal" -http 127.0.0.1:0 \
     -segment-bytes 4096 -nosync > "$tmp/fedlead.out" 2> "$tmp/fedlead.err" &
 fpid=$!
-i=0
-until grep -q "serving on" "$tmp/fedlead.out" 2>/dev/null; do
-    i=$((i+1))
-    if [ "$i" -gt 100 ]; then echo "federated leader did not bind" >&2; cat "$tmp/fedlead.err" >&2; exit 1; fi
-    sleep 0.1
-done
-faddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/fedlead.out")
+faddr=$(await_serving "$tmp/fedlead.out" "$tmp/fedlead.err" "federated leader did not bind")
 "$tmp/edgerepd" -follow "$faddr" -takeover "$tmp/fedlead-wal" -journal "$tmp/fedpromo-wal" \
     -http 127.0.0.1:0 -heartbeat 100ms -failover-after 3 -nosync \
     > "$tmp/fedfollow.out" 2> "$tmp/fedfollow.err" &
 wpid=$!
-i=0
-until grep -q "serving on" "$tmp/fedfollow.out" 2>/dev/null; do
-    i=$((i+1))
-    if [ "$i" -gt 100 ]; then echo "follower did not bind" >&2; cat "$tmp/fedfollow.err" >&2; exit 1; fi
-    sleep 0.1
-done
+await_serving "$tmp/fedfollow.out" "$tmp/fedfollow.err" "follower did not bind" > /dev/null
 "$tmp/edgerepd" -drive "$faddr" -count 1000 | grep -q "drive ok: /metrics serves"
 sleep 0.5  # let the follower ship the sealed prefix
 kill -9 "$fpid"

@@ -41,7 +41,6 @@ func (c runConfig) fedConfig() federation.Config {
 		SegmentBytes:       c.segmentBytes,
 		NoSync:             c.noSync,
 		EpochMaxQueries:    c.epochMax,
-		EpochMaxWait:       c.epochWait,
 		DeterministicClock: c.selfdrive,
 		NoFastPath:         !c.fastPath,
 	}

@@ -58,13 +58,12 @@ func main() {
 		maxUtil  = flag.Float64("max-util", 0, "reject admissions pushing a node above this utilization (0 = 1.0)")
 		fastPath = flag.Bool("fastpath", true, "price offers against precomputed feasibility tables (byte-identical decisions; false falls back to the full per-offer scan)")
 
-		epochMax  = flag.Int("epoch-max", 256, "micro-epoch size bound (queries)")
-		epochWait = flag.Duration("epoch-wait", 2*time.Millisecond, "micro-epoch wait bound")
+		epochMax = flag.Int("epoch-max", 256, "micro-epoch size bound (queries); an epoch closes sooner whenever intake is empty")
 
 		jdir      = flag.String("journal", "", "journal every admission decision to a WAL in this directory")
 		resume    = flag.Bool("resume", false, "recover state from -journal before serving (online.Recover; refuses divergent journals)")
 		snapEvery = flag.Int("snapshot-every", 20000, "snapshot engine state after every Nth journaled record (0 = WAL-only)")
-		noSync    = flag.Bool("nosync", false, "skip the per-append fsync (load tests; crash durability is reduced to the page cache)")
+		noSync    = flag.Bool("nosync", false, "skip the per-epoch group-commit fsync (load tests; crash durability is reduced to the page cache)")
 
 		traceOut = flag.String("trace", "", "write the admission trace (deterministic JSONL) to this file")
 		stats    = flag.Bool("stats", false, "print runtime counters to stderr on exit")
@@ -105,8 +104,7 @@ func main() {
 	if err := run(runConfig{
 		httpAddr: *httpAddr,
 		instance: server.InstanceConfig{Seed: int64(*seed), Nodes: *nodes, Datasets: *datasets, Queries: *queries, F: *fBound, K: *kBound},
-		expected: *expected, maxUtil: *maxUtil, fastPath: *fastPath,
-		epochMax: *epochMax, epochWait: *epochWait,
+		expected: *expected, maxUtil: *maxUtil, fastPath: *fastPath, epochMax: *epochMax,
 		jdir: *jdir, resume: *resume, snapEvery: *snapEvery, noSync: *noSync,
 		traceOut: *traceOut, stats: *stats,
 		attribution: *attribution, slo: *slo, sloP95: *sloP95, sloP99: *sloP99,
@@ -130,7 +128,6 @@ type runConfig struct {
 	maxUtil     float64
 	fastPath    bool
 	epochMax    int
-	epochWait   time.Duration
 	jdir        string
 	resume      bool
 	snapEvery   int
@@ -256,7 +253,8 @@ func run(cfg runConfig) error {
 				fmt.Fprintf(os.Stderr, "edgerepd: journal had a torn tail; the unacknowledged record was dropped\n")
 			}
 		}
-		if jn, err = journal.Open(cfg.jdir, journal.Options{NoSync: cfg.noSync}); err != nil {
+		// Group commit: the server fsyncs once per epoch, before it answers.
+		if jn, err = journal.Open(cfg.jdir, journal.Options{NoSync: cfg.noSync, DeferSync: true}); err != nil {
 			return err
 		}
 		defer func() {
@@ -280,7 +278,7 @@ func run(cfg runConfig) error {
 		eng = online.NewEngine(p, cfg.expectedArrivals(), opt)
 	}
 
-	scfg := server.Config{EpochMaxQueries: cfg.epochMax, EpochMaxWait: cfg.epochWait}
+	scfg := server.Config{EpochMaxQueries: cfg.epochMax}
 	if cfg.selfdrive {
 		// Deterministic mode: model time comes entirely from the arrival
 		// stream's AtSec stamps, never the wall clock.

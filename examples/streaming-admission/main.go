@@ -45,8 +45,10 @@ func main() {
 		}
 	}()
 
-	// Life 1: serve admission with a write-ahead journal.
-	jn, err := journal.Open(dir, journal.Options{})
+	// Life 1: serve admission with a write-ahead journal. DeferSync is group
+	// commit, as in edgerepd: the server fsyncs once per micro-epoch, before
+	// it answers any of the epoch's offers.
+	jn, err := journal.Open(dir, journal.Options{DeferSync: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nlife 2: journal loaded: %d records, torn tail dropped: %v\n", len(st.Records), st.Torn)
-	jn2, err := journal.Open(dir, journal.Options{})
+	jn2, err := journal.Open(dir, journal.Options{DeferSync: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"edgerep/internal/graph"
 	"edgerep/internal/instrument"
@@ -75,11 +74,10 @@ type Config struct {
 	// this size; 0 means the journal default of 1 MiB. Drills use small
 	// segments so shipping happens continuously.
 	SegmentBytes int64
-	// NoSync skips per-append fsync (drills and tests).
+	// NoSync skips the journal's group-commit fsync (drills and tests).
 	NoSync bool
-	// EpochMaxQueries / EpochMaxWait shape the server's micro-epochs.
+	// EpochMaxQueries bounds the server's micro-epochs.
 	EpochMaxQueries int
-	EpochMaxWait    time.Duration
 	// DeterministicClock serves with a constant-zero model clock so every
 	// arrival's AtSec comes from the request — the selfdrive/drill mode
 	// whose journals are byte-reproducible.
@@ -181,7 +179,6 @@ func engineOptions(cfg Config) online.Options {
 func serverConfig(cfg Config) server.Config {
 	scfg := server.Config{
 		EpochMaxQueries: cfg.EpochMaxQueries,
-		EpochMaxWait:    cfg.EpochMaxWait,
 	}
 	if cfg.DeterministicClock {
 		scfg.Clock = func() float64 { return 0 }
@@ -207,7 +204,7 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 	if err != nil {
 		return nil, err
 	}
-	jn, err := journal.Open(dir, journal.Options{SegmentBytes: cfg.SegmentBytes, NoSync: cfg.NoSync})
+	jn, err := journal.Open(dir, journal.Options{SegmentBytes: cfg.SegmentBytes, NoSync: cfg.NoSync, DeferSync: true})
 	if err != nil {
 		return nil, err
 	}
@@ -229,6 +226,9 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 				if _, err := eng.Crash(0, v); err != nil {
 					return nil, fmt.Errorf("federation: mask node %d: %w", v, err)
 				}
+			}
+			if err := eng.Commit(); err != nil {
+				return nil, fmt.Errorf("federation: commit shard mask: %w", err)
 			}
 		}
 	}
@@ -277,7 +277,7 @@ func (l *Leader) Dead() bool {
 }
 
 // Manifest describes the leader's shippable state: its identity, the LSN of
-// its last durable record, and every sealed (immutable, CRC-stamped)
+// its last journaled record, and every sealed (immutable, CRC-stamped)
 // segment a follower may pull. The active segment is deliberately absent —
 // it is still being written; promotion picks up its durable prefix straight
 // from disk.

@@ -224,7 +224,7 @@ func (s *Standby) Promote(takeoverDir, newDir string) (*Leader, error) {
 		term = persisted
 	}
 	term++
-	jn, err := journal.Open(newDir, journal.Options{SegmentBytes: s.cfg.SegmentBytes, NoSync: s.cfg.NoSync})
+	jn, err := journal.Open(newDir, journal.Options{SegmentBytes: s.cfg.SegmentBytes, NoSync: s.cfg.NoSync, DeferSync: true})
 	if err != nil {
 		return nil, fmt.Errorf("federation: open promoted journal: %w", err)
 	}

@@ -13,7 +13,7 @@ import "sync/atomic"
 // Stage boundaries (see ARCHITECTURE.md, "Serving"):
 //
 //	queue     enqueue → the decision's epoch closes (admission-queue wait
-//	          plus the epoch's fill wait; one close stamp per batch)
+//	          behind earlier epochs; one close stamp per batch)
 //	coalesce  epoch close → this decision's pricing begins (waiting behind
 //	          earlier decisions of the same batch)
 //	lookup    the fast path's epoch fence: the staleness check on the
@@ -23,8 +23,10 @@ import "sync/atomic"
 //	          table-miss signal (see OPERATIONS.md triage)
 //	pricing   the engine's dual pricing, entry to journal hand-off
 //	journal   journal record marshal + frame + buffered write (no fsync)
-//	fsync     the per-append fsync making the decision durable
-//	ack       response delivery to the waiting client
+//	fsync     the fsync making the decision durable: its epoch's group
+//	          commit (shared by the epoch), or a per-append sync
+//	ack       the rest of the way to the waiting client: epoch-mates'
+//	          pricing after this decision, and response delivery
 //
 // The seven stages partition the enqueue-to-ack interval: their sum is the
 // decision's end-to-end latency up to clock-read granularity, which is what

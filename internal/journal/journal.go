@@ -4,7 +4,9 @@
 // every input it acts on (offers, crashes, restores) together with the
 // outcome it committed to, the testbed cluster journals replica placements,
 // and the experiment sweeps journal finished cells — so a process crash
-// loses at most the record being written when the power went out.
+// loses at most the record being written when the power went out (under
+// DeferSync group commit, the records appended since the last Commit, none
+// of which the caller has acknowledged yet).
 //
 // Record framing (one frame per record, densely packed per segment):
 //
@@ -73,9 +75,14 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it would exceed this
 	// size; 0 means 1 MiB.
 	SegmentBytes int64
-	// NoSync skips the per-append fsync (tests and benchmarks that measure
-	// framing cost rather than disk latency).
+	// NoSync skips the per-commit fsync (tests and benchmarks that measure
+	// framing cost rather than disk latency): a commit — each Append, or
+	// each Commit under DeferSync — only reaches the page cache.
 	NoSync bool
+	// DeferSync is group commit: Append only writes, and Commit makes every
+	// record appended since the previous commit durable with one fsync. A
+	// record is durable only once a Commit covering it has returned.
+	DeferSync bool
 }
 
 func (o Options) segmentBytes() int64 {
@@ -107,13 +114,20 @@ type Journal struct {
 	// goroutines (WAL shippers list sealed segments while the owner appends).
 	sealMu sync.Mutex
 	seals  []SealInfo
-	// lastSyncNs is the duration of the most recent Append's fsync, measured
+	// dirty reports records written since the last fsync of the active
+	// segment: what the next Commit has to make durable.
+	dirty bool
+	// lastSyncNs is the duration of the most recent commit's fsync, measured
 	// via the sanctioned monotonic clock only while latency attribution is
 	// active (instrument.AttributionActive); it lets the serving layer split
 	// a decision's journal stage into marshal+write vs. disk sync without
 	// the journal reading the wall clock on the normal path.
 	lastSyncNs int64
 }
+
+// statSyncs counts WAL segment fsyncs: per append, or per group commit
+// under DeferSync, plus the syncs rotation and snapshots force.
+var statSyncs = instrument.NewCounter("journal.syncs")
 
 // State is the recovered view of a journal directory: the newest valid
 // snapshot (nil when none) and every decodable record from LSN 1.
@@ -374,7 +388,8 @@ func (j *Journal) LSN() int64 { return j.lsn.Load() }
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Append frames payload, writes it durably, and returns its LSN. Empty
+// Append frames payload, writes it, and returns its LSN; the record is
+// durable on return unless the journal defers syncs to Commit. Empty
 // payloads are rejected (a zero length frame is reserved for torn-tail
 // detection). After any write error the journal is poisoned and every later
 // Append returns that first error.
@@ -400,27 +415,56 @@ func (j *Journal) Append(payload []byte) (int64, error) {
 		return 0, j.err
 	}
 	j.segCRC = crc32.Update(j.segCRC, crc32.IEEETable, frame)
+	j.dirty = true
 	j.lastSyncNs = 0
-	if !j.opt.NoSync {
-		attributed := instrument.AttributionActive()
-		var syncStart time.Duration
-		if attributed {
-			syncStart = instrument.Mono()
-		}
-		if err := j.f.Sync(); err != nil {
-			j.err = fmt.Errorf("journal: sync: %w", err)
-			return 0, j.err
-		}
-		if attributed {
-			j.lastSyncNs = int64(instrument.Mono() - syncStart)
+	if !j.opt.DeferSync {
+		if err := j.Commit(); err != nil {
+			return 0, err
 		}
 	}
 	j.segSize += int64(len(frame))
 	return j.lsn.Add(1), nil
 }
 
-// LastSyncNs returns the fsync duration of the most recent Append — nonzero
-// only while latency attribution is active and the journal syncs per append.
+// Commit makes every record appended since the previous commit durable
+// with one fsync (a no-op when nothing is pending or under NoSync). Append
+// commits each record itself unless the journal defers syncs.
+func (j *Journal) Commit() error {
+	j.lastSyncNs = 0
+	if j.err != nil {
+		return j.err
+	}
+	if !j.dirty {
+		return nil
+	}
+	if j.opt.NoSync {
+		j.dirty = false
+		return nil
+	}
+	attributed := instrument.AttributionActive()
+	var syncStart time.Duration
+	if attributed {
+		syncStart = instrument.Mono()
+	}
+	if err := j.sync(); err != nil {
+		j.err = fmt.Errorf("journal: sync: %w", err)
+		return j.err
+	}
+	if attributed {
+		j.lastSyncNs = int64(instrument.Mono() - syncStart)
+	}
+	return nil
+}
+
+// sync fsyncs the active segment: every record written so far is durable.
+func (j *Journal) sync() error {
+	statSyncs.Inc()
+	j.dirty = false
+	return j.f.Sync()
+}
+
+// LastSyncNs returns the fsync duration of the most recent commit — nonzero
+// only while latency attribution is active and the journal syncs.
 func (j *Journal) LastSyncNs() int64 { return j.lastSyncNs }
 
 // rotate closes the active segment, starts the next one, and publishes a
@@ -429,7 +473,7 @@ func (j *Journal) LastSyncNs() int64 { return j.lastSyncNs }
 // unsealed closed segment, which the next Open backfills — shippers only
 // ever see the seal once the sealed bytes are already immutable on disk.
 func (j *Journal) rotate() error {
-	if err := j.f.Sync(); err != nil {
+	if err := j.sync(); err != nil {
 		return fmt.Errorf("journal: sync before rotate: %w", err)
 	}
 	if err := j.f.Close(); err != nil {
@@ -460,7 +504,7 @@ func (j *Journal) Snapshot(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("journal: empty snapshot")
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.sync(); err != nil {
 		j.err = fmt.Errorf("journal: sync before snapshot: %w", err)
 		return j.err
 	}
@@ -507,23 +551,11 @@ func (j *Journal) TearTail(payload []byte) error {
 		j.err = fmt.Errorf("journal: tear tail: %w", err)
 		return j.err
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.sync(); err != nil {
 		j.err = fmt.Errorf("journal: sync torn tail: %w", err)
 		return j.err
 	}
 	j.err = fmt.Errorf("journal: tail torn on purpose: %w", ErrTornTail)
-	return nil
-}
-
-// Sync flushes the active segment to disk.
-func (j *Journal) Sync() error {
-	if j.err != nil {
-		return j.err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("journal: sync: %w", err)
-		return j.err
-	}
 	return nil
 }
 
@@ -532,7 +564,7 @@ func (j *Journal) Close() error {
 	if j.f == nil {
 		return j.err
 	}
-	syncErr := j.f.Sync()
+	syncErr := j.sync()
 	closeErr := j.f.Close()
 	j.f = nil
 	if j.err != nil {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"edgerep/internal/instrument"
 )
 
 func mustAppend(t *testing.T, j *Journal, payload string) int64 {
@@ -52,6 +54,70 @@ func TestJournalAppendLoadRoundTrip(t *testing.T) {
 	for i := range want {
 		if !bytes.Equal(st.Records[i], want[i]) {
 			t.Fatalf("record %d = %q, want %q", i, st.Records[i], want[i])
+		}
+	}
+}
+
+// TestJournalDeferSyncCommit pins group commit: under DeferSync appends
+// only write, one Commit fsyncs everything pending, and a Commit with
+// nothing pending (or under NoSync) syncs nothing. Without DeferSync every
+// Append is its own commit.
+func TestJournalDeferSyncCommit(t *testing.T) {
+	if !instrument.Enabled() {
+		instrument.Enable()
+		t.Cleanup(instrument.Disable)
+	}
+	syncs := func() int64 { return statSyncs.Value() }
+	dir := t.TempDir()
+	j, err := Open(dir, Options{DeferSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := syncs()
+	for i := 0; i < 10; i++ {
+		mustAppend(t, j, fmt.Sprintf("deferred-%d", i))
+	}
+	if got := syncs() - before; got != 0 {
+		t.Fatalf("10 deferred appends fsynced %d times, want 0", got)
+	}
+	if st, err := Load(dir); err != nil || len(st.Records) != 10 {
+		t.Fatalf("deferred appends not written: %v records, err %v", st, err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := j.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := syncs() - before; got != 1 {
+		t.Fatalf("two commits of one pending batch fsynced %d times, want 1", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		opt  Options
+		want int64
+	}{
+		{Options{}, 3},
+		{Options{NoSync: true, DeferSync: true}, 0},
+	} {
+		j, err := Open(t.TempDir(), tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := syncs()
+		for i := 0; i < 3; i++ {
+			mustAppend(t, j, "r")
+			if err := j.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := syncs() - before; got != tc.want {
+			t.Fatalf("%+v: 3 appends and commits fsynced %d times, want %d", tc.opt, got, tc.want)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -231,6 +231,27 @@ func (e *Engine) SnapshotNow() error {
 	return e.jn.Snapshot(snap)
 }
 
+// Commit makes every record journaled since the last commit durable (one
+// fsync for the lot when the journal defers syncs; a no-op otherwise, and
+// without a journal). A caller on a deferred-sync journal acknowledges an
+// input only after a Commit covering its record has returned.
+func (e *Engine) Commit() error {
+	if e.jn == nil {
+		return nil
+	}
+	return e.jn.Commit()
+}
+
+// LastCommitSyncNs returns the fsync duration of the most recent Commit —
+// zero when it had nothing to sync, and unless latency attribution was
+// active during the call.
+func (e *Engine) LastCommitSyncNs() int64 {
+	if e.jn == nil {
+		return 0
+	}
+	return e.jn.LastSyncNs()
+}
+
 // appendRecord journals one record and takes a snapshot when the cadence
 // says so. No-op while replaying or without a journal.
 func (e *Engine) appendRecord(rec *JournalRecord) error {

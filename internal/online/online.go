@@ -56,7 +56,9 @@ type Options struct {
 	NoRepair bool
 	// Journal, when non-nil, makes the engine durable: every Offer, Crash,
 	// and Restore is appended to the WAL with its committed outcome before
-	// the call returns (durable.go; recover with online.Recover).
+	// the call returns (durable.go; recover with online.Recover). On a
+	// journal that defers syncs, the records are durable once Commit
+	// returns.
 	Journal *journal.Journal
 	// SnapshotEvery takes a full EngineState snapshot after every Nth
 	// journaled record, bounding replay length; zero means WAL-only.

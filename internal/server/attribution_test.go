@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"edgerep/internal/instrument"
+	"edgerep/internal/journal"
 	"edgerep/internal/online"
 )
 
@@ -29,16 +31,37 @@ func attributionOn(t *testing.T, flightN int) (*instrument.SLOTracker, *instrume
 // checks the full observability chain: every response carries a complete
 // non-negative stage timeline, the SLO tracker saw every offer, the flight
 // recorder holds decision entries with the same timeline shape, and the
-// drive report's stage table covers all six stages with sane sums.
+// drive report's stage table covers all six stages with sane sums. Against
+// a synced deferred-sync journal the fsync stage is the epoch's group
+// commit, and the seven stages still fit inside the latency the caller saw.
 func TestAttributionStageTimelines(t *testing.T) {
-	tr, fr := attributionOn(t, 128)
-	_, s := newTestServer(t, Config{})
+	t.Run("unjournaled", func(t *testing.T) {
+		_, s := newTestServer(t, Config{})
+		checkStageTimelines(t, s, false)
+	})
+	t.Run("synced journal", func(t *testing.T) {
+		p := testInstance(t)
+		jn, err := journal.Open(t.TempDir(), journal.Options{DeferSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(p, online.NewEngine(p, 10000, online.Options{Journal: jn}), Config{Clock: zeroClock})
+		checkStageTimelines(t, s, true)
+		if err := jn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
 
+func checkStageTimelines(t *testing.T, s *Server, synced bool) {
+	tr, fr := attributionOn(t, 128)
 	at := 0.0
 	const offers = 64
 	for i := 0; i < offers; i++ {
 		at += 0.001
+		start := time.Now()
 		resp, err := s.Admit(AdmitRequest{Query: 0, AtSec: at, HoldSec: 0.01})
+		e2e := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,6 +77,12 @@ func TestAttributionStageTimelines(t *testing.T) {
 		}
 		if total <= 0 {
 			t.Fatalf("response %d attributed zero total latency", i)
+		}
+		if total > int64(e2e) {
+			t.Fatalf("response %d stages sum to %dns, more than the %v the caller waited", i, total, e2e)
+		}
+		if fsync := resp.StageNs[instrument.StageFsync]; (fsync > 0) != synced {
+			t.Fatalf("response %d fsync stage %dns with synced=%v", i, fsync, synced)
 		}
 	}
 	if err := s.Drain(); err != nil {

@@ -1,18 +1,25 @@
 // Package server is the streaming-admission core of the always-on daemon
 // (cmd/edgerepd). Queries arrive continuously through Admit (or its HTTP
-// binding, see http.go), are coalesced into micro-epochs — batches bounded
-// by size (EpochMaxQueries) and by the wait the first query of an epoch is
-// willing to tolerate (EpochMaxWait) — and are priced one at a time against
-// the online engine's incrementally maintained dual state (internal/online:
-// the exponential capacity price θ(u) over instantaneous load); no ascent is
-// ever re-run per batch. Every decision is answered with admit/reject, the
-// placement on admit, and a typed rejection reason (instrument.Reason) on
-// reject.
+// binding, see http.go), are coalesced into micro-epochs and priced one at
+// a time against the online engine's incrementally maintained dual state
+// (internal/online: the exponential capacity price θ(u) over instantaneous
+// load); no ascent is ever re-run per batch. Every decision is answered
+// with admit/reject, the placement on admit, and a typed rejection reason
+// (instrument.Reason) on reject.
 //
-// Durability and observability are inherited rather than reinvented: the
-// engine journals every offer with its committed outcome before the response
-// leaves the server (internal/journal; restart with online.Recover is
-// byte-identical), every decision is a typed trace event replayable by
+// An epoch is bounded by what is queued, not by a timer: the loop takes
+// every request waiting in intake, up to EpochMaxQueries, and closes the
+// epoch the moment intake is momentarily empty. This is classic group
+// commit: the engine journals the whole epoch's records, one journal
+// commit (a single fsync on a deferred-sync journal) makes them durable,
+// and only then are responses delivered. Offers that arrive while one
+// epoch prices and fsyncs form the next, so epochs grow with load and a
+// lone offer on a quiet daemon is answered without waiting for company.
+//
+// Durability and observability are inherited rather than reinvented: every
+// offer is journaled with its committed outcome and made durable before the
+// response leaves the server (internal/journal; restart with online.Recover
+// is byte-identical), every decision is a typed trace event replayable by
 // invariant.CheckTrace, and the per-epoch/per-decision metrics registered
 // below surface on /metrics next to internal/ops' pprof handlers.
 //
@@ -86,11 +93,9 @@ var ErrDraining = errors.New("server: draining, admission closed")
 
 // Config tunes the micro-epoch collector.
 type Config struct {
-	// EpochMaxQueries bounds a micro-epoch's size; 0 means 256.
+	// EpochMaxQueries bounds a micro-epoch's size; 0 means 256. An epoch
+	// closes earlier, with no wait, as soon as intake is empty.
 	EpochMaxQueries int
-	// EpochMaxWait bounds how long the first query of an epoch waits for
-	// company before the batch is priced; 0 means 2ms.
-	EpochMaxWait time.Duration
 	// QueueDepth bounds the admission queue (enqueue blocks when full,
 	// giving natural backpressure); 0 means 4096.
 	QueueDepth int
@@ -107,13 +112,6 @@ func (c Config) epochMax() int {
 		return c.EpochMaxQueries
 	}
 	return 256
-}
-
-func (c Config) epochWait() time.Duration {
-	if c.EpochMaxWait > 0 {
-		return c.EpochMaxWait
-	}
-	return 2 * time.Millisecond
 }
 
 func (c Config) queueDepth() int {
@@ -247,8 +245,17 @@ type Server struct {
 
 // New starts a server over a problem and a ready engine (fresh from
 // online.NewEngine or recovered via online.Recover — the caller owns journal
-// and trace wiring). The epoch loop starts immediately.
+// and trace wiring; a journal opened with DeferSync gets one fsync per
+// epoch). The epoch loop starts immediately.
 func New(p *placement.Problem, eng *online.Engine, cfg Config) *Server {
+	s := newServer(p, eng, cfg)
+	go s.run()
+	return s
+}
+
+// newServer builds a server whose epoch loop has not started: requests
+// queue in intake until run is launched.
+func newServer(p *placement.Problem, eng *online.Engine, cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		p:     p,
@@ -262,7 +269,6 @@ func New(p *placement.Problem, eng *online.Engine, cfg Config) *Server {
 		s.stageBatch[i] = stageHists[i].NewBatch()
 	}
 	s.admitBatch = histAdmitLatency.NewBatch()
-	go s.run()
 	return s
 }
 
@@ -316,37 +322,30 @@ func (s *Server) Admit(req AdmitRequest) (AdmitResponse, error) {
 	return r.resp, r.err
 }
 
-// run is the epoch loop: collect a micro-epoch, price it, answer it.
+// run is the epoch loop: block for the first request, take whatever else
+// is already queued (up to the size bound) without waiting, then price,
+// commit and answer that epoch. Requests that arrive meanwhile are the
+// next epoch.
 func (s *Server) run() {
 	defer close(s.done)
 	max := s.cfg.epochMax()
-	wait := s.cfg.epochWait()
 	batch := make([]*pending, 0, max)
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for {
+	for open := true; open; {
 		pd, ok := <-s.reqs
 		if !ok {
 			return
 		}
 		batch = append(batch[:0], pd)
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
 	collect:
 		for len(batch) < max {
 			select {
-			case more, open := <-s.reqs:
-				if !open {
-					s.processEpoch(batch)
-					return
+			case more, ok := <-s.reqs:
+				if !ok {
+					open = false
+					break collect
 				}
 				batch = append(batch, more)
-			case <-timer.C:
+			default:
 				break collect
 			}
 		}
@@ -368,25 +367,29 @@ type epochSlot struct {
 // processEpoch prices one micro-epoch against the engine's dual state and
 // answers every waiter, in two phases. Phase 1 holds the epoch lock and is
 // pure pricing: every decision is offered, classified, and journaled into a
-// slot, in batch order. Phase 2 runs with the lock released and delivers
-// the slots in the same order, stamping each decision's ack stage at its
-// actual hand-off. Splitting delivery out of the locked section replaced
-// the old Gosched-every-32 yield hack: waiters are now answered while the
-// engine lock is free, so the pricing loop can't convoy acknowledged
-// responses behind the rest of the batch's pricing on one processor
-// (TestAckConvoyRegression pins GOMAXPROCS=1 and checks the attributed
+// slot, in batch order; one engine Commit then makes the whole epoch's
+// records durable (group commit: a single fsync). Phase 2 runs with the
+// lock released and delivers the slots in the same order, stamping each
+// decision's ack stage at its actual hand-off. Splitting delivery out of
+// the locked section replaced the old Gosched-every-32 yield hack: waiters
+// are now answered while the engine lock is free, so the pricing loop
+// can't convoy acknowledged responses behind the rest of the batch's
+// pricing on one processor (TestAckConvoyRegression pins GOMAXPROCS=1 and checks the attributed
 // stage sums still track the client-observed end-to-end latency). Batch
 // order — and therefore the deterministic journal and trace — is untouched;
-// every decision is journaled in phase 1 before any response leaves in
-// phase 2, which preserves the exactly-once direction: no ack without a
-// durable record.
+// every decision is journaled and committed in phase 1 before any response
+// leaves in phase 2, which preserves the exactly-once direction: no ack
+// without a durable record. A failed commit answers the whole epoch with
+// the error instead.
 //
 // While latency attribution is active every decision gets a stage timeline:
 // queue and coalesce split at the batch-close stamp taken once per epoch,
-// lookup is the fast path's table fence, journal and fsync come from the
-// engine's journal measurement, pricing is the Offer duration net of fence
-// and journal, and ack spans pricing end to delivery — seven stages that
-// exactly partition the enqueue→response interval on one clock (see
+// lookup is the fast path's table fence, journal comes from the engine's
+// journal measurement, pricing is the Offer duration net of fence and
+// journal, fsync is the epoch's commit (shared by every member, plus any
+// per-append sync of a journal that does not defer), and ack is the rest of
+// the span from pricing end to delivery — seven stages that exactly
+// partition the enqueue→response interval on one clock (see
 // instrument.StageTimeline).
 func (s *Server) processEpoch(batch []*pending) {
 	if len(batch) == 0 {
@@ -423,9 +426,9 @@ func (s *Server) processEpoch(batch []*pending) {
 		// attribution costs one malloc per epoch, not one per decision.
 		stageArena = make([]int64, 0, len(batch)*int(instrument.NumStages))
 		// One stamp closes the epoch for every member: queue ends and
-		// coalesce begins here for the whole batch. An epoch spans a couple
-		// of milliseconds, so a shared stamp is well inside the stages'
-		// useful precision and saves a clock read per decision.
+		// coalesce begins here for the whole batch, which was already
+		// queued when the loop took it, so a shared stamp costs no
+		// precision and saves a clock read per decision.
 		batchClose = instrument.Mono()
 	}
 	for i, pd := range batch {
@@ -488,8 +491,9 @@ func (s *Server) processEpoch(batch []*pending) {
 			tl[instrument.StageFsync] = clampNs(syncNs)
 			tl[instrument.StageLookup] = clampNs(lookupNs)
 			tl[instrument.StagePricing] = clampNs(int64(sl.t1-t0) - jNs - lookupNs)
-			// Ack is stamped at delivery in phase 2; the arena slot is
-			// rewritten there through the aliasing StageNs sub-slice.
+			// Fsync gains the epoch commit and ack is stamped at delivery in
+			// phase 2; the arena slot is rewritten there through the
+			// aliasing StageNs sub-slice.
 			k := len(stageArena)
 			stageArena = append(stageArena, tl[:]...)
 			sl.resp.StageNs = stageArena[k:len(stageArena):len(stageArena)]
@@ -509,12 +513,19 @@ func (s *Server) processEpoch(batch []*pending) {
 	if attributed {
 		s.eng.AttachStages(nil)
 	}
+	// Group commit: the epoch's records become durable together, before
+	// any of its decisions is acknowledged.
+	commitErr := s.eng.Commit()
+	commitNs := s.eng.LastCommitSyncNs()
 	s.mu.Unlock()
 
 	// Phase 2: deliver in batch order with the engine lock free.
 	for i := range slots {
 		sl := &slots[i]
 		pd := batch[i]
+		if sl.err == nil {
+			sl.err = commitErr
+		}
 		if sl.err != nil {
 			pd.resp <- result{err: sl.err}
 			continue
@@ -523,9 +534,9 @@ func (s *Server) processEpoch(batch []*pending) {
 		var end time.Duration
 		if attributed {
 			end = instrument.Mono()
-			ack := clampNs(int64(end - sl.t1))
-			sl.tl[instrument.StageAck] = ack
-			sl.resp.StageNs[instrument.StageAck] = ack
+			sl.tl[instrument.StageFsync] += commitNs
+			sl.tl[instrument.StageAck] = clampNs(int64(end-sl.t1) - commitNs)
+			copy(sl.resp.StageNs, sl.tl[:])
 			for j := range s.stageBatch {
 				s.stageBatch[j].Observe(float64(sl.tl[j])*1e-9, sl.id)
 			}
@@ -643,6 +654,7 @@ func (s *Server) CheckTerm(reqTerm int64) error {
 // path's epoch fence observes — the next offer refreshes its mirror before
 // consulting any table, so no decision admits onto the crashed node through
 // stale state (TestFastPathStaleTableFuzz races exactly this interleaving).
+// The crash record is committed (durable) before Crash returns.
 func (s *Server) Crash(v graph.NodeID) (online.CrashReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -650,14 +662,22 @@ func (s *Server) Crash(v graph.NodeID) (online.CrashReport, error) {
 	if floor := s.eng.Now(); at < floor {
 		at = floor
 	}
-	return s.eng.Crash(at, v)
+	rep, err := s.eng.Crash(at, v)
+	if err != nil {
+		return rep, err
+	}
+	return rep, s.eng.Commit()
 }
 
-// Restore marks a crashed node alive again, between epochs.
+// Restore marks a crashed node alive again, between epochs; the restore
+// record is committed before it returns.
 func (s *Server) Restore(v graph.NodeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Restore(v)
+	if err := s.eng.Restore(v); err != nil {
+		return err
+	}
+	return s.eng.Commit()
 }
 
 // FastPathStats reports the engine's fast-path table and fence counters.

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository gate: formatting, vet, repo-specific analyzers (edgerepvet),
-# build, race-enabled tests, fast-path gates (zero-alloc pricing, fast-on/off
-# byte-identity, stale-table fuzz, chaos-on latency smoke), attribution gates
+# build, race-enabled tests, fast-path gates (zero-alloc pricing, table-vs-
+# reference-scan equivalence, stale-table fuzz, chaos-on latency smoke), attribution gates
 # (zero-alloc off path, byte-identical traces, flight-ring race stress),
 # durability (journal/recovery + kill-and-resume byte-identity), the edgerepd daemon drill
 # (selfdrive byte-identity + HTTP serve/kill -9/resume with fsync off and on
@@ -42,14 +42,15 @@ await_serving() {
 echo "== edgerepvet ./... (type-aware repo analyzers; gate + JSON artifact, <30s budget)"
 go build -o "$tmp/edgerepvet" ./cmd/edgerepvet
 vet_start=$(date +%s)
-"$tmp/edgerepvet" -stats ./...
-"$tmp/edgerepvet" -json ./... > "$tmp/edgerepvet.json"
+# One scan: counters to stderr, the JSON report to stdout.
+"$tmp/edgerepvet" -stats -json ./... > "$tmp/edgerepvet.json" || {
+    echo "edgerepvet reports findings:" >&2; cat "$tmp/edgerepvet.json" >&2; exit 1; }
 vet_elapsed=$(( $(date +%s) - vet_start ))
 grep -q '"findings": \[\]' "$tmp/edgerepvet.json" || {
     echo "edgerepvet -json reports findings the exit-code gate missed" >&2; exit 1; }
-echo "edgerepvet artifact: $tmp/edgerepvet.json (2 repo scans in ${vet_elapsed}s)"
+echo "edgerepvet artifact: $tmp/edgerepvet.json (1 repo scan in ${vet_elapsed}s)"
 if [ "$vet_elapsed" -ge 30 ]; then
-    echo "edgerepvet repo scans took ${vet_elapsed}s; budget is <30s" >&2
+    echo "edgerepvet repo scan took ${vet_elapsed}s; budget is <30s" >&2
     exit 1
 fi
 
@@ -68,9 +69,9 @@ go test -run 'TestAttributionZeroAllocInactive' ./internal/instrument
 go test -run 'TestAttributionTraceBytesIdentical|TestAttributionOffNoStageNs' ./internal/server
 go test -race -run 'TestFlightRecorderRaceStress' ./internal/instrument
 
-echo "== fast-path gates (zero-alloc pricing; fast-on/off byte-identity; stale-table fuzz under -race)"
+echo "== fast-path gates (zero-alloc pricing; tables match the reference scan; stale-table fuzz under -race)"
 go test -run 'TestFastPathZeroAlloc' ./internal/online
-go test -run 'TestFastPathEquivalence|TestFastPathByteIdenticalJournalAndTrace' ./internal/online ./internal/server
+go test -run 'TestFastPathEquivalence' ./internal/online
 go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|TestAckConvoyRegression' ./internal/server
 go test -run 'TestFastPathChaosLatencySmoke' ./internal/server
 go test -run '^$' -bench 'BenchmarkFastPathPlan' -benchtime 1x ./internal/online
@@ -190,7 +191,9 @@ faddr=$(await_serving "$tmp/fedlead.out" "$tmp/fedlead.err" "federated leader di
     > "$tmp/fedfollow.out" 2> "$tmp/fedfollow.err" &
 wpid=$!
 await_serving "$tmp/fedfollow.out" "$tmp/fedfollow.err" "follower did not bind" > /dev/null
-"$tmp/edgerepd" -drive "$faddr" -count 1000 | grep -q "drive ok: /metrics serves"
+"$tmp/edgerepd" -drive "$faddr" -count 1000 > "$tmp/fedlead-drive.out"
+grep -q "drive ok: /metrics serves" "$tmp/fedlead-drive.out"
+grep -q "drive ok: /slo serves live data" "$tmp/fedlead-drive.out"
 sleep 0.5  # let the follower ship the sealed prefix
 kill -9 "$fpid"
 wait "$fpid" 2>/dev/null || true
@@ -201,7 +204,9 @@ until grep -q "promoted to term 2" "$tmp/fedfollow.out" 2>/dev/null; do
     sleep 0.1
 done
 waddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/fedfollow.out")
-"$tmp/edgerepd" -drive "$waddr" -count 500 | grep -q "drive ok: /metrics serves"
+"$tmp/edgerepd" -drive "$waddr" -count 500 > "$tmp/fedpromo-drive.out"
+grep -q "drive ok: /metrics serves" "$tmp/fedpromo-drive.out"
+grep -q "drive ok: /slo serves live data" "$tmp/fedpromo-drive.out"
 kill -TERM "$wpid"
 wait "$wpid"
 grep -q "drained at term 2" "$tmp/fedfollow.err"

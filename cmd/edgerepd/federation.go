@@ -42,7 +42,6 @@ func (c runConfig) fedConfig() federation.Config {
 		NoSync:             c.noSync,
 		EpochMaxQueries:    c.epochMax,
 		DeterministicClock: c.selfdrive,
-		NoFastPath:         !c.fastPath,
 	}
 }
 
@@ -88,12 +87,6 @@ func runFederationDrill(cfg runConfig) error {
 	if cfg.jdir == "" {
 		return fmt.Errorf("-regions drill needs -journal as the base directory for the per-region WALs")
 	}
-	if cfg.stats {
-		instrument.Enable()
-		defer func() {
-			fmt.Fprint(os.Stderr, instrument.FormatSnapshot(instrument.Snapshot()))
-		}()
-	}
 	rep, err := federation.RunDrill(federation.DrillConfig{
 		Regions:         cfg.regions,
 		Instance:        cfg.instance,
@@ -105,7 +98,6 @@ func runFederationDrill(cfg runConfig) error {
 		ModelRatePerSec: cfg.modelRate,
 		MeanHoldSec:     cfg.meanHold,
 		TraceOut:        cfg.traceOut,
-		NoFastPath:      !cfg.fastPath,
 	})
 	if err != nil {
 		return err
@@ -130,12 +122,6 @@ func runFederatedLeader(cfg runConfig) error {
 	}
 	if cfg.httpAddr == "" {
 		return fmt.Errorf("a federated leader needs -http")
-	}
-	if cfg.stats {
-		instrument.Enable()
-		defer func() {
-			fmt.Fprint(os.Stderr, instrument.FormatSnapshot(instrument.Snapshot()))
-		}()
 	}
 	if cfg.traceOut != "" {
 		closeTrace, err := instrument.OpenTraceFile(cfg.traceOut)

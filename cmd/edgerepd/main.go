@@ -56,7 +56,6 @@ func main() {
 		kBound   = flag.Int("k", 3, "replica bound K per dataset")
 		expected = flag.Int("expected", 0, "expected total arrivals for the capacity price base (0: 1e6, or -count in selfdrive)")
 		maxUtil  = flag.Float64("max-util", 0, "reject admissions pushing a node above this utilization (0 = 1.0)")
-		fastPath = flag.Bool("fastpath", true, "price offers against precomputed feasibility tables (byte-identical decisions; false falls back to the full per-offer scan)")
 
 		epochMax = flag.Int("epoch-max", 256, "micro-epoch size bound (queries); an epoch closes sooner whenever intake is empty")
 
@@ -78,7 +77,7 @@ func main() {
 		selfdrive = flag.Bool("selfdrive", false, "replay a seeded workload through the in-process admission pipeline and report throughput")
 		count     = flag.Int("count", 200000, "selfdrive/drive: total offers to submit")
 		rate      = flag.Float64("rate", 0, "selfdrive: target offered load in queries/s of wall time (0 = as fast as possible)")
-		pipeline  = flag.Int("pipeline", 512, "selfdrive/drive: max outstanding requests")
+		pipeline  = flag.Int("pipeline", 512, "selfdrive: max outstanding offers")
 		driveSeed = flag.Int64("drive-seed", 7, "selfdrive: arrival-stream seed (query mix, model inter-arrivals, holds)")
 		modelRate = flag.Float64("model-rate", 1000, "selfdrive: model-time arrival rate encoded in AtSec stamps")
 		meanHold  = flag.Float64("hold", 30, "selfdrive: mean model hold time in seconds")
@@ -104,7 +103,7 @@ func main() {
 	if err := run(runConfig{
 		httpAddr: *httpAddr,
 		instance: server.InstanceConfig{Seed: int64(*seed), Nodes: *nodes, Datasets: *datasets, Queries: *queries, F: *fBound, K: *kBound},
-		expected: *expected, maxUtil: *maxUtil, fastPath: *fastPath, epochMax: *epochMax,
+		expected: *expected, maxUtil: *maxUtil, epochMax: *epochMax,
 		jdir: *jdir, resume: *resume, snapEvery: *snapEvery, noSync: *noSync,
 		traceOut: *traceOut, stats: *stats,
 		attribution: *attribution, slo: *slo, sloP95: *sloP95, sloP99: *sloP99,
@@ -126,7 +125,6 @@ type runConfig struct {
 	instance    server.InstanceConfig
 	expected    int
 	maxUtil     float64
-	fastPath    bool
 	epochMax    int
 	jdir        string
 	resume      bool
@@ -179,15 +177,9 @@ func run(cfg runConfig) error {
 	if cfg.driveURL != "" {
 		return driveRemote(cfg)
 	}
-	if cfg.regions > 1 || cfg.follow != "" || cfg.region != "" || cfg.shards > 1 {
-		return runFederation(cfg)
-	}
-	if !cfg.selfdrive && cfg.httpAddr == "" {
-		return fmt.Errorf("nothing to do: pass -http to serve, -selfdrive to load-test in process, or -drive to load-test a remote daemon")
-	}
-	if (cfg.resume || cfg.crashN > 0) && cfg.jdir == "" {
-		return fmt.Errorf("-resume and -proc-crash-after need -journal")
-	}
+	// Observability is process-wide: set it up once, before any mode
+	// builds its servers, so the federation modes run with the same
+	// stage timelines, /slo and /debug/flight defaults as the single daemon.
 	if cfg.stats {
 		instrument.Enable()
 		defer func() {
@@ -220,6 +212,15 @@ func run(cfg runConfig) error {
 			panic(r)
 		}
 	}()
+	if cfg.regions > 1 || cfg.follow != "" || cfg.region != "" || cfg.shards > 1 {
+		return runFederation(cfg)
+	}
+	if !cfg.selfdrive && cfg.httpAddr == "" {
+		return fmt.Errorf("nothing to do: pass -http to serve, -selfdrive to load-test in process, or -drive to load-test a remote daemon")
+	}
+	if (cfg.resume || cfg.crashN > 0) && cfg.jdir == "" {
+		return fmt.Errorf("-resume and -proc-crash-after need -journal")
+	}
 	if cfg.traceOut != "" {
 		closeTrace, err := instrument.OpenTraceFile(cfg.traceOut)
 		if err != nil {
@@ -237,21 +238,26 @@ func run(cfg runConfig) error {
 		return err
 	}
 
-	opt := online.Options{MaxUtilization: cfg.maxUtil, SnapshotEvery: cfg.snapEvery, NoFastPath: !cfg.fastPath}
+	opt := online.Options{MaxUtilization: cfg.maxUtil, SnapshotEvery: cfg.snapEvery}
 	var jn *journal.Journal
 	var eng *online.Engine
 	if cfg.jdir != "" {
 		// Load first (tolerating a torn tail), then Open (which truncates
 		// it), so the engine recovers exactly the acknowledged prefix and
 		// appends from there.
-		var st *journal.State
-		if cfg.resume {
-			if st, err = journal.Load(cfg.jdir); err != nil {
-				return err
-			}
-			if st.Torn {
-				fmt.Fprintf(os.Stderr, "edgerepd: journal had a torn tail; the unacknowledged record was dropped\n")
-			}
+		st, err := journal.Load(cfg.jdir)
+		if err != nil {
+			return err
+		}
+		if !cfg.resume && (len(st.Records) > 0 || st.Snapshot != nil) {
+			// Open would append a fresh engine's decisions after the old
+			// history, and the next -resume would recover only from the
+			// newest snapshot: acked decisions silently lost.
+			return fmt.Errorf("journal %s already holds %d records; pass -resume to continue it, or start on an empty directory",
+				cfg.jdir, len(st.Records))
+		}
+		if st.Torn {
+			fmt.Fprintf(os.Stderr, "edgerepd: journal had a torn tail; the unacknowledged record was dropped\n")
 		}
 		// Group commit: the server fsyncs once per epoch, before it answers.
 		if jn, err = journal.Open(cfg.jdir, journal.Options{NoSync: cfg.noSync, DeferSync: true}); err != nil {

@@ -82,8 +82,6 @@ type Config struct {
 	// arrival's AtSec comes from the request — the selfdrive/drill mode
 	// whose journals are byte-reproducible.
 	DeterministicClock bool
-	// NoFastPath disables the precomputed admission tables.
-	NoFastPath bool
 }
 
 // OwnerOfNode maps a compute node to the shard that owns it: a static
@@ -172,7 +170,6 @@ func engineOptions(cfg Config) online.Options {
 	return online.Options{
 		MaxUtilization: cfg.MaxUtilization,
 		SnapshotEvery:  cfg.SnapshotEvery,
-		NoFastPath:     cfg.NoFastPath,
 	}
 }
 

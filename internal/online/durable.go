@@ -203,11 +203,9 @@ func (e *Engine) loadState(st *EngineState) {
 	for _, v := range st.Down {
 		e.Liveness().MarkDown(v)
 	}
-	// A bulk load rewrote liveness and load wholesale; force the fast
-	// path's mirror to rebuild even if generations happen to line up.
-	if e.fast != nil {
-		e.fast.invalidate()
-	}
+	// A bulk load rewrote liveness and load wholesale; force the pricing
+	// tables' mirror to rebuild even if generations happen to line up.
+	e.fast.invalidate()
 }
 
 // Now returns the engine's current model time: the AtSec of the latest

@@ -1,10 +1,11 @@
 // Failover repair for the online engine: when a node crashes it takes its
 // replicas and its in-flight allocations with it. Crash releases the ledger
-// state, then a repair loop re-serves every stranded assignment using the
-// same instantaneous dual prices as admission — an existing surviving
-// replica if one meets the deadline, otherwise a new replica within the
-// freed K budget (re-replication priced like any lazy replica open, and
-// re-synced from the origin when a consistency manager is attached).
+// state, then a repair loop re-serves every stranded assignment through
+// admission's own pricing loop (pickFast over the same candidate tables) —
+// an existing surviving replica if one meets the deadline, otherwise a new
+// replica within the freed K budget (re-replication priced like any lazy
+// replica open, and re-synced from the origin when a consistency manager
+// is attached).
 // Queries that cannot be repaired are evicted: their admission is undone and
 // their volume given back, which is exactly the degradation the ext-chaos
 // experiment measures.
@@ -12,7 +13,6 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"edgerep/internal/cluster"
@@ -55,13 +55,11 @@ type CrashReport struct {
 // AttachLiveness shares a liveness tracker with the engine (drivers that
 // coordinate several components pass one tracker around). Without it the
 // engine lazily creates its own on the first crash. Swapping trackers
-// invalidates the fast path's liveness mirror unconditionally: the new
+// invalidates the pricing tables' liveness mirror unconditionally: the new
 // tracker's generation could coincide with the old one's.
 func (e *Engine) AttachLiveness(l *cluster.Liveness) {
 	e.live = l
-	if e.fast != nil {
-		e.fast.invalidate()
-	}
+	e.fast.invalidate()
 }
 
 // AttachConsistency wires a consistency manager so failover repair accounts
@@ -186,27 +184,35 @@ func (e *Engine) repairQuery(q workload.QueryID, datasets []workload.DatasetID,
 	}
 	var moves []move
 	// Plan all of the query's stranded datasets first (all-or-nothing, like
-	// admission): tentative capacity keeps two datasets of one query from
-	// both claiming the last GHz of a node.
-	tentative := make(map[graph.NodeID]float64)
-	tentOpen := make(map[workload.DatasetID]map[graph.NodeID]bool)
+	// admission) with admission's pricing loop over the query's demand
+	// rows: the scratch's tentative capacity keeps two datasets of one
+	// query from both claiming the last GHz of a node. The crash has just
+	// moved the liveness generation, so fence the mirror first. Datasets
+	// are distinct within a query, so each names one demand row.
+	f := e.fast
+	f.refresh(e)
+	s := &f.scr
+	s.reset()
+	row := f.perQuery[q]
 	for _, n := range datasets {
 		expiry, active := holds[n]
-		w, fresh, ok := e.pickRepairNode(q, n, active, tentative, tentOpen)
+		var d *fpDemand
+		for di := range row {
+			if row[di].dataset == n {
+				d = &row[di]
+				break
+			}
+		}
+		w, fresh, ok := e.pickFast(d, s, active)
 		if !ok {
 			e.evict(q, rep)
 			return
 		}
 		if active {
-			tentative[w] += e.p.ComputeNeed(q, n)
+			s.addTent(w, d.need)
 		}
 		if fresh {
-			m := tentOpen[n]
-			if m == nil {
-				m = make(map[graph.NodeID]bool)
-				tentOpen[n] = m
-			}
-			m[w] = true
+			s.addOpen(n, w)
 		}
 		moves = append(moves, move{dataset: n, node: w, fresh: fresh, expiry: expiry, active: active})
 	}
@@ -234,52 +240,6 @@ func (e *Engine) repairQuery(q workload.QueryID, datasets []workload.DatasetID,
 		statRepairs.Inc()
 		e.emitRepair(q, mv.dataset, mv.node)
 	}
-}
-
-// pickRepairNode selects the cheapest live node that can take over one
-// stranded (query, dataset) under the same dual pricing as admission.
-// needsCapacity is false for queries whose hold already expired — their
-// compute is done; only replica presence and the deadline must be restored.
-func (e *Engine) pickRepairNode(q workload.QueryID, n workload.DatasetID, needsCapacity bool,
-	tentative map[graph.NodeID]float64, tentOpen map[workload.DatasetID]map[graph.NodeID]bool) (graph.NodeID, bool, bool) {
-
-	need := e.p.ComputeNeed(q, n)
-	size := e.p.Datasets[n].SizeGB
-	deadline := e.p.Queries[q].DeadlineSec
-	openCount := e.sol.ReplicaCount(n) + len(tentOpen[n])
-	maxU := e.opt.maxUtil()
-
-	var best graph.NodeID = -1
-	bestFresh := false
-	bestCost := math.Inf(1)
-	for _, w := range e.p.Cloud.ComputeNodes() {
-		if e.live.IsDown(w) {
-			continue
-		}
-		delay, ok := e.p.EvalDelay(q, n, w)
-		if !ok || delay > deadline {
-			continue
-		}
-		if needsCapacity {
-			capGHz := e.p.Cloud.Capacity(w)
-			if e.usedGHz(w)+tentative[w]+need > capGHz*maxU+1e-9 {
-				continue
-			}
-		}
-		has := e.sol.HasReplica(n, w) || tentOpen[n][w]
-		repPrice := 0.0
-		if !has {
-			if openCount >= e.p.MaxReplicas {
-				continue
-			}
-			repPrice = 0.25 * size * float64(openCount+1) / float64(e.p.MaxReplicas)
-		}
-		cost := need*e.theta(w) + e.opt.delayWeight()*size*(delay/deadline) + repPrice
-		if cost < bestCost {
-			best, bestFresh, bestCost = w, !has, cost
-		}
-	}
-	return best, bestFresh, best != -1
 }
 
 // evict undoes query q's admission: its remaining allocations are released,

@@ -1,7 +1,9 @@
-// The admission fast path: per-(query, demand) feasibility tables
-// precomputed at engine construction so Offer prices an arrival with array
-// scans — no Dijkstra, no map allocation, no per-candidate delay model
-// evaluation. The tables exist because everything the pricing loop consults
+// The engine's pricing tables: per-(query, demand) feasibility tables
+// precomputed at engine construction so Offer prices an arrival, and Crash
+// re-prices a stranded assignment, with array scans — no Dijkstra, no map
+// allocation, no per-candidate delay model evaluation. pickFast is the one
+// pricing loop: admission (planFast) and failover repair (repairQuery) both
+// run it. The tables exist because everything the pricing loop consults
 // except load and liveness is static for the life of the engine: the
 // topology is immutable, EvalDelay is a pure function of (query, dataset,
 // node), the deadline and the replica-open price seeds are fixed per demand,
@@ -21,12 +23,14 @@
 //     used-mutation helpers, so repeated candidates of one offer pay one
 //     math.Pow each at most.
 //
-// Byte-identity contract: with the fast path on or off, every decision, its
-// journal record, and its trace event are byte-identical. The pricing
-// expressions below therefore reproduce pickNode's float arithmetic with the
-// same associativity (precomputed factors are the exact subexpressions the
-// slow path evaluates, never algebraic rearrangements), and ties resolve to
-// the lowest node ID exactly as the slow path's ascending scan does.
+// Byte-identity contract: every decision and repair equals the one the
+// full node scan over the delay model would make — the reference planner
+// kept in this package's tests (reference_test.go), which
+// TestFastPathEquivalence compares against decision by decision. The
+// pricing expressions below therefore reproduce the scan's float arithmetic
+// with the same associativity (precomputed factors are the exact
+// subexpressions the scan evaluates, never algebraic rearrangements), and
+// ties resolve to the lowest node ID exactly as its ascending scan does.
 package online
 
 import (
@@ -48,12 +52,12 @@ var (
 
 // fpCand is one pricing candidate: a node whose evaluation delay meets the
 // demand's deadline under the strict admission predicate (delay ≤ deadline,
-// no epsilon — exactly pickNode's gate).
+// no epsilon — exactly the reference scan's gate).
 type fpCand struct {
 	node  graph.NodeID
 	delay float64
 	// delayCost is the precomputed deadline-slack price term
-	// w·size·(delay/deadline), evaluated with the slow path's exact
+	// w·size·(delay/deadline), evaluated with the reference scan's exact
 	// expression shape.
 	delayCost float64
 	// preferred marks forecast-derived proactive sites (zero µ price).
@@ -72,7 +76,8 @@ type fpClassCand struct {
 type fpDemand struct {
 	dataset workload.DatasetID
 	// need is ComputeNeed(q, dataset); size25 seeds the replica-open price
-	// (0.25·size, the exact subexpression pickNode evaluates first).
+	// (0.25·size, the exact subexpression the reference scan evaluates
+	// first).
 	need   float64
 	size25 float64
 	// cands is the admission candidate set, sorted by ascending delay
@@ -88,10 +93,10 @@ type fpDemand struct {
 	bestFiniteDelay float64
 }
 
-// fpScratch is the per-offer planning state, reused across offers so the
-// fast path allocates nothing (TestFastPathZeroAlloc asserts this). The
-// slices replace the slow path's tentative/tentOpen maps; bundles are small
-// (a handful of demands), so linear scans beat hashing.
+// fpScratch is the per-offer (or per-repaired-query) planning state, reused
+// so pricing allocates nothing (TestFastPathZeroAlloc asserts this). The
+// slices stand in for tentative-capacity and tentative-open maps; bundles
+// are small (a handful of demands), so linear scans beat hashing.
 type fpScratch struct {
 	tentNode []graph.NodeID
 	tentAmt  []float64
@@ -141,6 +146,12 @@ func (s *fpScratch) openCountFor(ds workload.DatasetID) int {
 	return c
 }
 
+// addOpen records a replica of ds planned to open on v.
+func (s *fpScratch) addOpen(ds workload.DatasetID, v graph.NodeID) {
+	s.openDs = append(s.openDs, ds)
+	s.openNode = append(s.openNode, v)
+}
+
 func (s *fpScratch) openHas(ds workload.DatasetID, v graph.NodeID) bool {
 	for i, d := range s.openDs {
 		if d == ds && s.openNode[i] == v {
@@ -158,7 +169,7 @@ type fastPath struct {
 
 	// capEps[v] = Capacity(v)·maxU + 1e-9, the admission headroom bound;
 	// capMaxU[v] = Capacity(v)·maxU, the classification Avail minuend.
-	// Both are the exact subexpressions the slow path computes inline.
+	// Both are the exact subexpressions the reference scan computes inline.
 	capEps  []float64
 	capMaxU []float64
 
@@ -178,11 +189,10 @@ type fastPath struct {
 	refreshes  atomic.Uint64
 }
 
-// FastPathStats is the fast path's observability rollup, served lock-free
-// on /state (table sizes are immutable, counters are atomics, and the shard
-// sums read the capacity ledger's atomic bits).
+// FastPathStats is the pricing tables' observability rollup, served
+// lock-free on /state (table sizes are immutable, counters are atomics, and
+// the shard sums read the capacity ledger's atomic bits).
 type FastPathStats struct {
-	Enabled    bool       `json:"enabled"`
 	Tables     int        `json:"tables"`
 	Candidates int        `json:"candidates"`
 	LiveGen    uint64     `json:"live_gen"`
@@ -191,21 +201,17 @@ type FastPathStats struct {
 	Shards     []ShardUse `json:"shards,omitempty"`
 }
 
-// FastPathStats reports the fast path's table and fence counters (Enabled
-// false with zeroed table fields when the engine runs the slow path). Safe
+// FastPathStats reports the pricing tables' sizes and fence counters. Safe
 // to call concurrently with the epoch loop.
 func (e *Engine) FastPathStats() FastPathStats {
-	st := FastPathStats{Shards: e.used.shardUse()}
-	if e.fast == nil {
-		return st
+	return FastPathStats{
+		Tables:     e.fast.tables,
+		Candidates: e.fast.candidates,
+		LiveGen:    e.fast.liveGen.Load(),
+		Refreshes:  e.fast.refreshes.Load(),
+		Offers:     e.fast.offers.Load(),
+		Shards:     e.used.shardUse(),
 	}
-	st.Enabled = true
-	st.Tables = e.fast.tables
-	st.Candidates = e.fast.candidates
-	st.LiveGen = e.fast.liveGen.Load()
-	st.Refreshes = e.fast.refreshes.Load()
-	st.Offers = e.fast.offers.Load()
-	return st
 }
 
 // newFastPath materializes the tables. Candidate enumeration is seeded from
@@ -300,8 +306,8 @@ func newFastPath(e *Engine) *fastPath {
 // refresh is the epoch fence: a no-op while the liveness generation the
 // mirror was built at still matches (one atomic load and one comparison),
 // a full dense rebuild when a crash, restore, external liveness edit, or
-// bulk state load moved it. Called at the top of every fast planning and
-// classification pass, so no decision reads the mirror across a stale
+// bulk state load moved it. Called at the top of every planning, repair,
+// and classification pass, so no decision reads the mirror across a stale
 // generation.
 func (f *fastPath) refresh(e *Engine) {
 	if e.live == nil {
@@ -328,10 +334,10 @@ func (f *fastPath) refresh(e *Engine) {
 // happens to share a generation number, and loadState bulk-replays downs.
 func (f *fastPath) invalidate() { f.liveDirty = true }
 
-// planFast plans one arrival against the precomputed tables; it is the fast
-// twin of Offer's slow planning loop and returns bit-identical decisions.
-// Rejection planning allocates nothing; an admission allocates only the
-// returned assignment slice the decision keeps.
+// planFast plans one arrival against the precomputed tables, returning the
+// decision the reference scan would. Rejection planning allocates nothing;
+// an admission allocates only the returned assignment slice the decision
+// keeps.
 func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 	f := e.fast
 	f.refresh(e)
@@ -342,14 +348,13 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 	demands := f.perQuery[qid]
 	for di := range demands {
 		d := &demands[di]
-		v, ok := e.pickFast(d, s)
+		v, fresh, ok := e.pickFast(d, s, true)
 		if !ok {
 			return false, nil
 		}
 		s.addTent(v, d.need)
-		if !e.sol.HasReplica(d.dataset, v) && !s.openHas(d.dataset, v) {
-			s.openDs = append(s.openDs, d.dataset)
-			s.openNode = append(s.openNode, v)
+		if fresh {
+			s.addOpen(d.dataset, v)
 		}
 		s.assign = append(s.assign, placement.Assignment{Query: qid, Dataset: d.dataset, Node: v})
 	}
@@ -361,15 +366,21 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 	return true, as
 }
 
-// pickFast is pickNode over the demand's precomputed candidate table. Every
-// float expression mirrors the slow path's associativity exactly, and the
-// explicit lowest-node tie-break reproduces the ascending scan's strict-<
-// argmin, so the two paths select identical nodes at identical costs.
-func (e *Engine) pickFast(d *fpDemand, s *fpScratch) (graph.NodeID, bool) {
+// pickFast selects the cheapest live, deadline-feasible node for one demand
+// under the instantaneous dual prices, scanning the demand's precomputed
+// candidate table; fresh reports that serving it there opens a replica.
+// needsCapacity is false when failover repairs a hold that already expired:
+// its compute is done, so only replica presence and the deadline must be
+// restored. Every float expression mirrors the reference scan's
+// associativity exactly, and the explicit lowest-node tie-break reproduces
+// its ascending strict-< argmin, so both select identical nodes at
+// identical costs.
+func (e *Engine) pickFast(d *fpDemand, s *fpScratch, needsCapacity bool) (node graph.NodeID, fresh, ok bool) {
 	f := e.fast
 	openCount := e.sol.ReplicaCount(d.dataset) + s.openCountFor(d.dataset)
 	kBound := e.p.MaxReplicas
 	var best graph.NodeID = -1
+	bestFresh := false
 	bestCost := math.Inf(1)
 	for i := range d.cands {
 		c := &d.cands[i]
@@ -377,11 +388,12 @@ func (e *Engine) pickFast(d *fpDemand, s *fpScratch) (graph.NodeID, bool) {
 		if f.down[v] {
 			continue
 		}
-		if e.usedGHz(v)+s.tentFor(v)+d.need > f.capEps[v] {
+		if needsCapacity && e.usedGHz(v)+s.tentFor(v)+d.need > f.capEps[v] {
 			continue
 		}
 		rep := 0.0
-		if !e.sol.HasReplica(d.dataset, v) && !s.openHas(d.dataset, v) {
+		open := !e.sol.HasReplica(d.dataset, v) && !s.openHas(d.dataset, v)
+		if open {
 			if openCount >= kBound {
 				continue
 			}
@@ -391,10 +403,10 @@ func (e *Engine) pickFast(d *fpDemand, s *fpScratch) (graph.NodeID, bool) {
 		}
 		cost := d.need*e.theta(v) + c.delayCost + rep
 		if cost < bestCost || (cost == bestCost && v < best) {
-			best, bestCost = v, cost
+			best, bestFresh, bestCost = v, open, cost
 		}
 	}
-	return best, best != -1
+	return best, bestFresh, best != -1
 }
 
 // classifyFast is ClassifyRejection over the precomputed classification

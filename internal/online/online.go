@@ -63,12 +63,6 @@ type Options struct {
 	// SnapshotEvery takes a full EngineState snapshot after every Nth
 	// journaled record, bounding replay length; zero means WAL-only.
 	SnapshotEvery int
-	// NoFastPath disables the precomputed admission tables (fastpath.go)
-	// and plans every offer with the original scan over the delay model.
-	// The zero value — fast path on — is the production configuration; the
-	// slow path exists as the byte-identity oracle the equivalence tests
-	// and the -fastpath=false escape hatch exercise.
-	NoFastPath bool
 }
 
 func (o Options) priceBase(n int) float64 {
@@ -157,8 +151,8 @@ type Engine struct {
 	thetaVal   []float64
 	thetaFresh []bool
 
-	// fast holds the precomputed admission tables (fastpath.go); nil when
-	// Options.NoFastPath selects the original planning scan.
+	// fast holds the precomputed pricing tables (fastpath.go) that both
+	// admission and failover repair scan.
 	fast *fastPath
 
 	sol  *placement.Solution
@@ -224,9 +218,7 @@ func NewEngine(p *placement.Problem, expectedArrivals int, opt Options) *Engine 
 	}
 	// Tables are built after prePlace: the preferred-site set they bake in
 	// is frozen from here on.
-	if !opt.NoFastPath {
-		e.fast = newFastPath(e)
-	}
+	e.fast = newFastPath(e)
 	e.beginTrace()
 	return e
 }
@@ -375,23 +367,17 @@ func (e *Engine) Offer(a Arrival) (Decision, error) {
 
 	q := &e.p.Queries[a.Query]
 	// Plan each demand against instantaneous load; all-or-nothing. The
-	// lookup stage is the fast path's epoch fence — the staleness check on
-	// the precomputed tables' liveness mirror plus any refresh an
-	// invalidation forced — timed only while attribution is active, like
-	// the journal stages.
+	// lookup stage is the epoch fence — the staleness check on the
+	// precomputed tables' liveness mirror plus any refresh an invalidation
+	// forced — timed only while attribution is active, like the journal
+	// stages.
 	e.lastLookupNs = 0
-	var admitted bool
-	var as []placement.Assignment
-	if e.fast != nil {
-		if instrument.AttributionActive() {
-			lt := instrument.Mono()
-			e.fast.refresh(e)
-			e.lastLookupNs = int64(instrument.Mono() - lt)
-		}
-		admitted, as = e.planFast(a.Query)
-	} else {
-		admitted, as = e.planSlow(a.Query)
+	if instrument.AttributionActive() {
+		lt := instrument.Mono()
+		e.fast.refresh(e)
+		e.lastLookupNs = int64(instrument.Mono() - lt)
 	}
+	admitted, as := e.planFast(a.Query)
 
 	dec := Decision{Query: a.Query, Admitted: admitted}
 	if admitted {
@@ -454,81 +440,8 @@ func (e *Engine) LastOfferJournalNs() (journalNs, syncNs int64) {
 }
 
 // LastOfferLookupNs returns the duration of the most recent Offer's table
-// lookup fence — zero unless attribution was active (or the engine runs
-// the slow path, which has no tables to fence).
+// lookup fence — zero unless attribution was active.
 func (e *Engine) LastOfferLookupNs() int64 { return e.lastLookupNs }
-
-// planSlow is the original planning loop — a full scan over the compute
-// nodes through the delay model, per demand. It is kept verbatim as the
-// fast path's oracle: the equivalence and byte-identity tests run both
-// paths over identical streams and require identical decisions.
-func (e *Engine) planSlow(qid workload.QueryID) (bool, []placement.Assignment) {
-	q := &e.p.Queries[qid]
-	tentative := make(map[graph.NodeID]float64)
-	tentOpen := make(map[workload.DatasetID]map[graph.NodeID]bool)
-	var as []placement.Assignment
-	for _, dm := range q.Demands {
-		v, ok := e.pickNode(qid, dm, tentative, tentOpen)
-		if !ok {
-			return false, nil
-		}
-		need := e.p.ComputeNeed(qid, dm.Dataset)
-		tentative[v] += need
-		if !e.sol.HasReplica(dm.Dataset, v) {
-			m := tentOpen[dm.Dataset]
-			if m == nil {
-				m = make(map[graph.NodeID]bool)
-				tentOpen[dm.Dataset] = m
-			}
-			m[v] = true
-		}
-		as = append(as, placement.Assignment{Query: qid, Dataset: dm.Dataset, Node: v})
-	}
-	return true, as
-}
-
-// pickNode selects the cheapest feasible node for one demand under the
-// instantaneous dual prices.
-func (e *Engine) pickNode(q workload.QueryID, dm workload.Demand,
-	tentative map[graph.NodeID]float64, tentOpen map[workload.DatasetID]map[graph.NodeID]bool) (graph.NodeID, bool) {
-
-	need := e.p.ComputeNeed(q, dm.Dataset)
-	size := e.p.Datasets[dm.Dataset].SizeGB
-	deadline := e.p.Queries[q].DeadlineSec
-	openCount := e.sol.ReplicaCount(dm.Dataset) + len(tentOpen[dm.Dataset])
-	maxU := e.opt.maxUtil()
-
-	var best graph.NodeID = -1
-	bestCost := math.Inf(1)
-	for _, v := range e.p.Cloud.ComputeNodes() {
-		if e.live != nil && e.live.IsDown(v) {
-			continue
-		}
-		delay, ok := e.p.EvalDelay(q, dm.Dataset, v)
-		if !ok || delay > deadline {
-			continue
-		}
-		capGHz := e.p.Cloud.Capacity(v)
-		if e.usedGHz(v)+tentative[v]+need > capGHz*maxU+1e-9 {
-			continue
-		}
-		has := e.sol.HasReplica(dm.Dataset, v) || tentOpen[dm.Dataset][v]
-		rep := 0.0
-		if !has {
-			if openCount >= e.p.MaxReplicas {
-				continue
-			}
-			if e.preferredSites == nil || !e.preferredSites[dm.Dataset][v] {
-				rep = 0.25 * size * float64(openCount+1) / float64(e.p.MaxReplicas)
-			}
-		}
-		cost := need*e.theta(v) + e.opt.delayWeight()*size*(delay/deadline) + rep
-		if cost < bestCost {
-			best, bestCost = v, cost
-		}
-	}
-	return best, best != -1
-}
 
 // drainReleases gives back every allocation whose hold expired by e.now.
 func (e *Engine) drainReleases() {
